@@ -9,9 +9,9 @@ test:
 # The whole gate in one shot: compile, run the tier-1 test suite, hold
 # the driver corpus to the static checks, run the hostile-driver
 # campaign against its acceptance gate, verify the XPC fast path
-# against the committed trajectory, and explore the decaf-check
-# episode catalog at full depth.
-check: build test lint campaign-malicious bench-check soak explore
+# against the committed trajectory, explore the decaf-check
+# episode catalog at full depth, and self-test the repo benchmark.
+check: build test lint campaign-malicious bench-check soak explore perfbench-check
 
 # Exhaustive schedule exploration (DPOR) of the decaf-check episode
 # catalog at full depth, with the dynamic lock-acquisition order and
@@ -77,7 +77,13 @@ soak-json:
 lint:
 	dune exec bin/driverslicer.exe -- decaf-lint
 
+# The repo benchmark's self-test at a tiny scale (~2 s): traced and
+# untraced rounds agree, seeds matter, every per-layer row is measured,
+# and the metric names match BENCHMARK.json (see perfbench/README.md).
+perfbench-check:
+	python3 perfbench/run.py --self-test
+
 clean:
 	dune clean
 
-.PHONY: all build test check bench-check bench-json bench soak-smoke soak soak-json lint explore clean
+.PHONY: all build test check bench-check bench-json bench soak-smoke soak soak-json lint explore perfbench-check clean

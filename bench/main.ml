@@ -67,6 +67,38 @@ let prepare_machine () =
   Xpc.Dispatch.reset ();
   Decaf_runtime.Runtime.reset ()
 
+(* A queue of [clock_depth] events spaced [clock_step] ns apart, with
+   the slot to replace next; the ids are the pending events. *)
+type clock_queue = { ids : K.Clock.event_id array; mutable slot : int }
+
+let clock_depth = 32
+let clock_step = 100
+
+let clock_queue () =
+  {
+    ids =
+      Array.init clock_depth (fun k ->
+          K.Clock.after ((k + 1) * clock_step) ignore);
+    slot = 0;
+  }
+
+let clock_queue_free q = Array.iter K.Clock.cancel q.ids
+
+(* Schedule one event behind the queue's tail, then fire its head: the
+   depth stays [clock_depth] and time moves [clock_step] per run. *)
+let clock_at_fire q =
+  q.ids.(q.slot) <- K.Clock.after ((clock_depth + 1) * clock_step) ignore;
+  q.slot <- (q.slot + 1) mod clock_depth;
+  ignore (K.Clock.advance_to_next_event ())
+
+(* Re-arm one queued event (a timer pushed back): cancel it and schedule
+   its replacement at the same offset. Time does not move. *)
+let clock_cancel_rearm q =
+  let i = q.slot in
+  K.Clock.cancel q.ids.(i);
+  q.ids.(i) <- K.Clock.after ((i + 1) * clock_step) ignore;
+  q.slot <- (i + 1) mod clock_depth
+
 let bench_tests () =
   prepare_machine ();
   let adapter = Decaf_drivers.E1000_objects.fresh_kernel_adapter () in
@@ -99,6 +131,12 @@ let bench_tests () =
         Test.make ~name:"objtracker/hit"
           (Staged.stage (fun () ->
                ignore (Xpc.Objtracker.find tracker ~addr:0xc000_0000 key)));
+        Test.make_with_resource ~name:"clock/at+fire" Test.uniq
+          ~allocate:clock_queue ~free:clock_queue_free
+          (Staged.stage clock_at_fire);
+        Test.make_with_resource ~name:"clock/cancel+rearm" Test.uniq
+          ~allocate:clock_queue ~free:clock_queue_free
+          (Staged.stage clock_cancel_rearm);
         Test.make ~name:"combolock/kernel-fast-path"
           (Staged.stage (fun () ->
                K.Sync.Combolock.with_kernel combolock (fun () -> ())));

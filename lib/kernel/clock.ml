@@ -1,21 +1,3 @@
-module Key = struct
-  type t = int * int (* due time, tie-break sequence number *)
-
-  (* The tie-break is explicit and documented: events scheduled for the
-     same due time fire in scheduling order (FIFO), because the sequence
-     number is assigned monotonically by [at] and never reset — not even
-     across [reset]. A reset that restarted the sequence would let a
-     stale [event_id] kept across a reboot collide with (and cancel) a
-     fresh event that happened to draw the same (due, seq) pair. *)
-  let compare (d1, s1) (d2, s2) =
-    match Int.compare d1 d2 with 0 -> Int.compare s1 s2 | c -> c
-end
-
-module Emap = Map.Make (Key)
-
-type event_id = Key.t
-
-let events : (unit -> unit) Emap.t ref = ref Emap.empty
 let time = ref 0
 let busy = ref 0
 let seq = ref 0
@@ -29,17 +11,121 @@ let utilization ~since ~busy_since =
   if window <= 0 then 0.
   else float_of_int (!busy - busy_since) /. float_of_int window
 
+(* --- the event queue ----------------------------------------------------
+
+   A mutable binary min-heap of entries ordered by (due, seq) with
+   integer compares. (due, seq) is the only firing order: events
+   scheduled for the same due time fire in scheduling order (FIFO),
+   because [seq] is assigned monotonically by [at] and never reset — not
+   even across [reset]. An entry is its own event id.
+
+   Cancellation is lazy: [cancel] only marks the entry dead, and a dead
+   entry is dropped when it surfaces at the root. So that a timer
+   re-armed over and over cannot grow the heap, a cancel that leaves
+   dead entries outnumbering live ones compacts the heap (dead entries
+   filtered out, then re-heapified). Only cancels make dead entries, so
+   there are never more of them than the most events ever pending at
+   once, and each compaction is paid for by the cancels that made its
+   dead entries. *)
+
+type entry = { due : int; seq : int; f : unit -> unit; mutable live : bool }
+type event_id = entry
+
+(* Fills empty slots and stands for "no event" when the queue is empty,
+   so peeking never allocates. Never live. *)
+let none = { due = max_int; seq = max_int; f = ignore; live = false }
+let heap = ref (Array.make 64 none)
+let size = ref 0 (* heap slots in use, live and dead *)
+let live = ref 0
+
+let before a b = a.due < b.due || (a.due = b.due && a.seq < b.seq)
+
+(* Both sifts move a hole rather than swapping, and place [e] last. *)
+let rec sift_up h e i =
+  let p = (i - 1) / 2 in
+  if i > 0 && before e h.(p) then begin
+    h.(i) <- h.(p);
+    sift_up h e p
+  end
+  else h.(i) <- e
+
+let rec sift_down h n e i =
+  let l = (2 * i) + 1 in
+  if l >= n then h.(i) <- e
+  else
+    let c = if l + 1 < n && before h.(l + 1) h.(l) then l + 1 else l in
+    if before h.(c) e then begin
+      h.(i) <- h.(c);
+      sift_down h n e c
+    end
+    else h.(i) <- e
+
+let push e =
+  let n = !size in
+  if n = Array.length !heap then begin
+    let grown = Array.make (2 * n) none in
+    Array.blit !heap 0 grown 0 n;
+    heap := grown
+  end;
+  sift_up !heap e n;
+  size := n + 1
+
+let drop_root () =
+  let h = !heap in
+  let n = !size - 1 in
+  let last = h.(n) in
+  h.(n) <- none;
+  size := n;
+  if n > 0 then sift_down h n last 0
+
+let compact () =
+  let h = !heap in
+  let n = ref 0 in
+  for i = 0 to !size - 1 do
+    let e = h.(i) in
+    if e.live then begin
+      h.(!n) <- e;
+      incr n
+    end
+  done;
+  Array.fill h !n (!size - !n) none;
+  size := !n;
+  for i = (!n / 2) - 1 downto 0 do
+    sift_down h !n h.(i) i
+  done
+
+let retire e =
+  e.live <- false;
+  decr live
+
+(* The earliest live entry, or [none]; dead roots are dropped on the way. *)
+let rec top () =
+  if !size = 0 then none
+  else
+    let e = !heap.(0) in
+    if e.live then e
+    else begin
+      drop_root ();
+      top ()
+    end
+
+(* Remove the root [e] (just returned by [top]) and advance to its due
+   time. *)
+let take e =
+  drop_root ();
+  retire e;
+  if e.due > !time then time := e.due
+
 (* Run every event due at or before [t], in due order. An event callback
    may itself consume time or schedule new events; events that become due
    as a result are delivered too. *)
 let rec deliver_until t =
-  match Emap.min_binding_opt !events with
-  | Some ((due, _) as key, f) when due <= t ->
-      events := Emap.remove key !events;
-      if due > !time then time := due;
-      f ();
-      deliver_until (max t !time)
-  | Some _ | None -> ()
+  let e = top () in
+  if e.live && e.due <= t then begin
+    take e;
+    e.f ();
+    deliver_until (max t !time)
+  end
 
 (* Busy work is preemptible: an event (interrupt) due mid-interval runs
    at its due time, and the interrupted work's remaining duration resumes
@@ -50,38 +136,47 @@ let consume ns =
   busy := !busy + ns;
   let remaining = ref ns in
   while !remaining > 0 do
-    match Emap.min_binding_opt !events with
-    | Some ((due, _) as key, f) when due <= !time + !remaining ->
-        let slice = max 0 (due - !time) in
-        remaining := !remaining - slice;
-        if due > !time then time := due;
-        events := Emap.remove key !events;
-        f ()
-    | Some _ | None ->
-        time := !time + !remaining;
-        remaining := 0
+    let e = top () in
+    if e.live && e.due <= !time + !remaining then begin
+      remaining := !remaining - max 0 (e.due - !time);
+      take e;
+      e.f ()
+    end
+    else begin
+      time := !time + !remaining;
+      remaining := 0
+    end
   done
 
 let scheduled () = !seq - !boot_seq
 
 let at t f =
   incr seq;
-  let key = (max t !time, !seq) in
-  events := Emap.add key f !events;
-  key
+  let e = { due = max t !time; seq = !seq; f; live = true } in
+  push e;
+  incr live;
+  e
 
 let after ns f = at (!time + ns) f
-let cancel key = events := Emap.remove key !events
-let pending key = Emap.mem key !events
-let has_events () = not (Emap.is_empty !events)
+
+let cancel e =
+  if e.live then begin
+    retire e;
+    if !size - !live > !live then compact ()
+  end
+
+let pending e = e.live
+let has_events () = !live > 0
+let queued () = !size
 
 let advance_to_next_event () =
-  match Emap.min_binding_opt !events with
-  | None -> false
-  | Some ((due, _), _) ->
-      if due > !time then time := due;
-      deliver_until !time;
-      true
+  let e = top () in
+  if not e.live then false
+  else begin
+    if e.due > !time then time := e.due;
+    deliver_until !time;
+    true
+  end
 
 (* --- tracked events ---------------------------------------------------
 
@@ -152,10 +247,19 @@ let tracks_in_flight () =
   Hashtbl.fold (fun _ q acc -> acc + Queue.length q) span_fifos 0
 
 let reset () =
-  events := Emap.empty;
+  (* Stale ids from this boot must read not-pending and must not be able
+     to cancel anything, so every queued entry is retired. *)
+  let h = !heap in
+  for i = 0 to !size - 1 do
+    h.(i).live <- false;
+    h.(i) <- none
+  done;
+  size := 0;
+  live := 0;
   time := 0;
   busy := 0;
-  (* [seq] is deliberately NOT reset — see [Key.compare]. *)
+  (* [seq] is deliberately NOT reset: it keeps counting across boots,
+     and [scheduled] reads it relative to [boot_seq]. *)
   boot_seq := !seq;
   Hashtbl.reset span_fifos;
   Latency.reset ()

@@ -34,16 +34,23 @@ val after : int -> (unit -> unit) -> event_id
 (** [after ns f] is [at (now () + ns) f]. *)
 
 val cancel : event_id -> unit
-(** Cancel a pending event; cancelling a fired event is a no-op. *)
+(** Cancel a pending event; cancelling a fired event is a no-op. O(1)
+    amortized: the entry is only marked dead, and dead entries are
+    compacted out once they outnumber live ones. *)
 
 val pending : event_id -> bool
-(** Whether the event is scheduled and not yet fired or cancelled. *)
+(** Whether the event is scheduled and not yet fired or cancelled. O(1). *)
 
 val scheduled : unit -> int
 (** Total events ever scheduled since boot (diagnostic). *)
 
 val has_events : unit -> bool
-(** Whether any event is pending. *)
+(** Whether any event is pending (cancelled events do not count). *)
+
+val queued : unit -> int
+(** Queue slots in use: pending events plus cancelled ones not yet
+    dropped (diagnostic). Right after a {!cancel} of a pending event, at
+    most twice the pending events. *)
 
 val advance_to_next_event : unit -> bool
 (** Idle until the next pending event and run every event due at that

@@ -32,14 +32,19 @@ let register_ports = register Port
 let register_mmio = register Mmio
 let release r = r.active <- false
 
-let find space addr =
-  let hit r = r.active && r.space = space && addr >= r.base && addr < r.base + r.len in
-  match List.find_opt hit !regions with
-  | Some r -> r
-  | None ->
+(* A direct scan: every port/MMIO access goes through here, so it builds
+   no closure and no option. *)
+let rec find_in space addr = function
+  | r :: rest ->
+      if r.active && r.space = space && addr >= r.base && addr < r.base + r.len
+      then r
+      else find_in space addr rest
+  | [] ->
       Panic.bug "%s access to unclaimed address %#x"
         (match space with Port -> "port" | Mmio -> "MMIO")
         addr
+
+let find space addr = find_in space addr !regions
 
 let charge = function
   | Port ->

@@ -104,6 +104,224 @@ let test_clock_stale_id_across_reset () =
   Clock.consume 200;
   check_bool "fresh event fired" true !fired
 
+(* --- Clock queue against a reference model --- *)
+
+(* Operations on the event queue. [Q_at (d, child)] schedules at
+   now + d (d < 0 lands in the past); when it fires it logs itself and,
+   given a child delay, schedules one more event from inside its
+   callback. [Q_cancel k] cancels the k-th id ever handed out (mod the
+   count): live, fired, already cancelled or from before a reboot. *)
+type qop =
+  | Q_at of int * int option
+  | Q_after of int
+  | Q_cancel of int
+  | Q_consume of int
+  | Q_advance
+  | Q_boot
+
+let show_qop = function
+  | Q_at (d, c) ->
+      Printf.sprintf "at %+d%s" d
+        (match c with Some c -> Printf.sprintf " child %d" c | None -> "")
+  | Q_after d -> Printf.sprintf "after %d" d
+  | Q_cancel k -> Printf.sprintf "cancel %d" k
+  | Q_consume n -> Printf.sprintf "consume %d" n
+  | Q_advance -> "advance"
+  | Q_boot -> "boot"
+
+(* Due times are multiples of 10 over a short range, so many events
+   share a due time and the FIFO tie-break decides their order. *)
+let gen_qop =
+  let open QCheck.Gen in
+  let tens lo hi = map (fun k -> 10 * k) (int_range lo hi) in
+  frequency
+    [
+      ( 4,
+        map2
+          (fun d c -> Q_at (d, c))
+          (tens (-2) 6)
+          (frequency [ (3, pure None); (1, map Option.some (tens 0 3)) ]) );
+      (2, map (fun d -> Q_after d) (tens 0 6));
+      (4, map (fun k -> Q_cancel k) nat);
+      (2, map (fun n -> Q_consume n) (int_range 0 50));
+      (2, pure Q_advance);
+      (1, pure Q_boot);
+    ]
+
+(* Run [ops] against [Clock] and against a reference sorted list keyed
+   by (due, seq), comparing after every step: firing order, virtual
+   time, [pending] of every id ever issued, [has_events], [scheduled],
+   and the dead-entry bound right after a cancel of a pending event.
+   Returns how many such cancels shrank the queue (compactions). *)
+let run_queue_model ops =
+  Boot.boot ();
+  (* the clock under test *)
+  let ids = Hashtbl.create 64 and log = ref [] and next = ref 0 in
+  let rec real_schedule sched child =
+    let label = !next in
+    incr next;
+    let f () =
+      log := label :: !log;
+      Option.iter (fun d -> real_schedule (Clock.after d) None) child
+    in
+    Hashtbl.replace ids label (sched f)
+  in
+  (* the reference: pending (due, seq, label, child), sorted *)
+  let m_pending = ref [] and m_live = Hashtbl.create 64 in
+  let m_time = ref 0 and m_seq = ref 0 and m_sched = ref 0 in
+  let m_log = ref [] and m_next = ref 0 in
+  let m_schedule due child =
+    let due = max due !m_time in
+    incr m_seq;
+    incr m_sched;
+    let label = !m_next in
+    incr m_next;
+    Hashtbl.replace m_live label true;
+    let ev = (due, !m_seq, label, child) in
+    let rec insert = function
+      | ((d, _, _, _) as x) :: rest when d <= due -> x :: insert rest
+      | rest -> ev :: rest
+    in
+    m_pending := insert !m_pending
+  in
+  let m_fire (due, _, label, child) =
+    Hashtbl.replace m_live label false;
+    if due > !m_time then m_time := due;
+    m_log := label :: !m_log;
+    Option.iter (fun d -> m_schedule (!m_time + d) None) child
+  in
+  let m_consume ns =
+    let remaining = ref ns in
+    while !remaining > 0 do
+      match !m_pending with
+      | ((due, _, _, _) as ev) :: rest when due <= !m_time + !remaining ->
+          remaining := !remaining - max 0 (due - !m_time);
+          m_pending := rest;
+          m_fire ev
+      | _ ->
+          m_time := !m_time + !remaining;
+          remaining := 0
+    done
+  in
+  let rec m_deliver t =
+    match !m_pending with
+    | ((due, _, _, _) as ev) :: rest when due <= t ->
+        m_pending := rest;
+        m_fire ev;
+        m_deliver (max t !m_time)
+    | _ -> ()
+  in
+  let m_advance () =
+    match !m_pending with
+    | [] -> false
+    | (due, _, _, _) :: _ ->
+        if due > !m_time then m_time := due;
+        m_deliver !m_time;
+        true
+  in
+  let show_log l = String.concat "," (List.rev_map string_of_int l) in
+  let compactions = ref 0 in
+  List.iteri
+    (fun step op ->
+      let ctx what = Printf.sprintf "step %d (%s): %s" step (show_qop op) what in
+      (* quiet on success: a long run makes millions of comparisons *)
+      let same what show expected actual =
+        if expected <> actual then
+          Alcotest.failf "%s: expected %s, got %s" (ctx what) (show expected)
+            (show actual)
+      in
+      let queued_before = Clock.queued () in
+      let cancelled_live = ref false in
+      (match op with
+      | Q_at (d, child) ->
+          real_schedule (Clock.at (Clock.now () + d)) child;
+          m_schedule (!m_time + d) child
+      | Q_after d ->
+          real_schedule (Clock.after d) None;
+          m_schedule (!m_time + d) None
+      | Q_cancel k ->
+          if !next > 0 then begin
+            let label = k mod !next in
+            Clock.cancel (Hashtbl.find ids label);
+            cancelled_live := Hashtbl.find m_live label;
+            Hashtbl.replace m_live label false;
+            m_pending :=
+              List.filter (fun (_, _, l, _) -> l <> label) !m_pending
+          end
+      | Q_consume n ->
+          Clock.consume n;
+          m_consume n
+      | Q_advance ->
+          same "advance result" string_of_bool (m_advance ())
+            (Clock.advance_to_next_event ())
+      | Q_boot ->
+          Boot.boot ();
+          m_pending := [];
+          Hashtbl.filter_map_inplace (fun _ _ -> Some false) m_live;
+          m_time := 0;
+          m_sched := 0);
+      same "firing order" show_log !m_log !log;
+      same "now" string_of_int !m_time (Clock.now ());
+      same "has_events" string_of_bool (!m_pending <> [])
+        (Clock.has_events ());
+      same "scheduled" string_of_int !m_sched (Clock.scheduled ());
+      Hashtbl.iter
+        (fun label id ->
+          if Hashtbl.find m_live label <> Clock.pending id then
+            Alcotest.failf "%s: expected %b" (ctx (Printf.sprintf "pending #%d" label))
+              (Hashtbl.find m_live label))
+        ids;
+      if !cancelled_live then begin
+        let live = List.length !m_pending in
+        if Clock.queued () > 2 * live then
+          Alcotest.failf "%s: %d queue slots for %d pending events"
+            (ctx "dead-entry bound") (Clock.queued ()) live;
+        (* a cancel only marks; the queue shrinks only by compacting *)
+        if Clock.queued () < queued_before then incr compactions
+      end)
+    ops;
+  !compactions
+
+let prop_clock_queue_model =
+  QCheck.Test.make ~name:"clock queue matches a sorted-list model" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 150) (make ~print:show_qop gen_qop))
+    (fun ops ->
+      ignore (run_queue_model ops);
+      true)
+
+(* A long, cancel-heavy run: 400 events (many sharing due times) are
+   cancelled in a shuffled order while half as many are re-armed, so
+   dead entries come to outnumber live ones and compaction must run;
+   then 4000 random steps, mostly cancels, with the odd reboot. *)
+let test_clock_queue_model_compaction () =
+  let st = Random.State.make [| 12 |] in
+  let fill = List.init 400 (fun _ -> Q_at (10 * Random.State.int st 200, None)) in
+  let order = Array.init 400 Fun.id in
+  for i = 399 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  let cancel_fill =
+    List.concat_map
+      (fun label ->
+        if label mod 2 = 0 then [ Q_cancel label ]
+        else [ Q_cancel label; Q_after (10 * Random.State.int st 200) ])
+      (Array.to_list order)
+  in
+  let churn =
+    List.init 4000 (fun i ->
+        match i mod 8 with
+        | 0 | 1 | 2 | 4 | 6 -> Q_cancel (Random.State.bits st)
+        | 3 | 5 -> Q_after (10 * Random.State.int st 200)
+        | _ ->
+            if i mod 1000 = 999 then Q_boot
+            else Q_consume (Random.State.int st 40))
+  in
+  check_bool "compaction ran" true
+    (run_queue_model (fill @ cancel_fill @ churn) > 0)
+
 (* --- tracked events (the latency cost model's stamp points) --- *)
 
 let test_clock_tracked_events () =
@@ -467,6 +685,28 @@ let test_timer_rearm () =
   check "rearm replaced first deadline" 0 (Timer.fired t);
   Clock.consume 4_000;
   check "fired at new deadline" 1 (Timer.fired t)
+
+(* A timer re-armed over and over before it expires (a watchdog pushed
+   back on every packet) fires once, at its last deadline, and leaves
+   neither a live event nor a pile of cancelled ones behind. *)
+let test_timer_rearm_many () =
+  Boot.boot ();
+  let t = Timer.create ignore in
+  let rearms = 100_000 in
+  let deadline = Clock.now () + 1_000_000 + rearms in
+  for i = 1 to rearms do
+    Timer.mod_timer_in t (1_000_000 + i);
+    if Clock.queued () > 2 then
+      Alcotest.failf "re-arm %d: %d queue slots for one timer" i
+        (Clock.queued ())
+  done;
+  Clock.consume (deadline - 1 - Clock.now ());
+  check "not before the last deadline" 0 (Timer.fired t);
+  Clock.consume 1;
+  check "fired at the last deadline" 1 (Timer.fired t);
+  Clock.consume 2_000_000;
+  check "fired once" 1 (Timer.fired t);
+  check_bool "no event left pending" false (Clock.has_events ())
 
 (* --- Workqueue --- *)
 
@@ -1022,6 +1262,7 @@ let qcheck_cases =
     [
       prop_semaphore_conservation;
       prop_clock_events_never_run_early;
+      prop_clock_queue_model;
       prop_waitq_wake_all_counts;
       prop_busy_never_exceeds_elapsed;
     ]
@@ -1039,6 +1280,8 @@ let () =
           tc "utilization" test_clock_utilization;
           tc "same due time is FIFO" test_clock_same_due_fifo;
           tc "stale ids survive reset" test_clock_stale_id_across_reset;
+          tc "queue model, cancel-heavy with compaction"
+            test_clock_queue_model_compaction;
           tc "tracked events" test_clock_tracked_events;
         ] );
       ( "latency",
@@ -1079,6 +1322,7 @@ let () =
           tc "fires at high priority" test_timer_fires_at_high_priority;
           tc "del_timer" test_timer_del;
           tc "rearm" test_timer_rearm;
+          tc "rearm 100k times" test_timer_rearm_many;
         ] );
       ( "workqueue",
         [
