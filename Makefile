@@ -11,7 +11,7 @@ test:
 # campaign against its acceptance gate, verify the XPC fast path
 # against the committed trajectory, explore the decaf-check
 # episode catalog at full depth, and self-test the repo benchmark.
-check: build test lint campaign-malicious bench-check soak explore perfbench-check
+check: build test lint campaign-malicious bench-check bench-regen-check soak explore perfbench-check
 
 # Exhaustive schedule exploration (DPOR) of the decaf-check episode
 # catalog at full depth, with the dynamic lock-acquisition order and
@@ -36,6 +36,18 @@ campaign-malicious:
 # (scenario, config) point (also runs as part of `dune runtest`).
 bench-check:
 	dune build @bench-smoke
+
+# Fail if regenerating either committed trajectory changes one byte
+# (~5 s). The 10%/5% gates above compare only some columns (not
+# shards_used, for one); this catches every other drift, including a
+# point that reads differently depending on what ran before it.
+bench-regen-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	dune exec bench/main.exe -- json $$tmp/BENCH_xpc.json > /dev/null && \
+	dune exec bench/main.exe -- soak-json $$tmp/BENCH_soak.json > /dev/null && \
+	diff -u BENCH_xpc.json $$tmp/BENCH_xpc.json && \
+	diff -u BENCH_soak.json $$tmp/BENCH_soak.json && \
+	echo "bench-regen-check: BENCH_xpc.json and BENCH_soak.json regenerate byte for byte"
 
 # Regenerate the committed trajectory after a deliberate retuning and
 # show what changed against the committed file.
@@ -86,4 +98,4 @@ perfbench-check:
 clean:
 	dune clean
 
-.PHONY: all build test check bench-check bench-json bench soak-smoke soak soak-json lint explore perfbench-check clean
+.PHONY: all build test check bench-check bench-regen-check bench-json bench soak-smoke soak soak-json lint explore perfbench-check clean

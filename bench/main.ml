@@ -60,13 +60,6 @@ let run_casestudy () =
 
 (* --- micro-benchmarks over the core primitives --- *)
 
-let prepare_machine () =
-  K.Boot.boot ();
-  Xpc.Domain.reset ();
-  Xpc.Channel.reset_stats ();
-  Xpc.Dispatch.reset ();
-  Decaf_runtime.Runtime.reset ()
-
 (* A queue of [clock_depth] events spaced [clock_step] ns apart, with
    the slot to replace next; the ids are the pending events. *)
 type clock_queue = { ids : K.Clock.event_id array; mutable slot : int }
@@ -100,7 +93,7 @@ let clock_cancel_rearm q =
   q.slot <- (i + 1) mod clock_depth
 
 let bench_tests () =
-  prepare_machine ();
+  K.Boot.boot ();
   let adapter = Decaf_drivers.E1000_objects.fresh_kernel_adapter () in
   let marshaled = Decaf_drivers.E1000_objects.marshal_to_user adapter in
   let tracker = Xpc.Objtracker.create () in

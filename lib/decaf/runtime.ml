@@ -81,3 +81,5 @@ let reset () =
   Jeannie.reset_counters ();
   Nuclear.wq := None;
   Nuclear.count := 0
+
+let () = K.Boot.on_boot reset

@@ -68,4 +68,5 @@ module Nuclear : sig
 end
 
 val reset : unit -> unit
-(** Forget trackers, sizeof table, counters and worker state (reboot). *)
+(** Forget trackers, sizeof table, counters and worker state. Runs on
+    every boot. *)

@@ -716,24 +716,10 @@ let active_box : t option ref = ref None
 let active () = !active_box
 
 (* One K.Modules load serves every instance: the module is refcounted
-   and only really unloaded when its last binding goes away. The boot
-   epoch tag invalidates a handle that survived a reboot. *)
-type shared = {
-  s_handle : K.Modules.handle;
-  s_epoch : int;
-  mutable s_refs : int;
-}
+   and only really unloaded when its last binding goes away. *)
+type shared = { s_handle : K.Modules.handle; mutable s_refs : int }
 
 let shared_box : shared option ref = ref None
-
-let shared_live () =
-  match !shared_box with
-  | Some s when s.s_epoch = K.Boot.epoch () && K.Modules.is_loaded driver ->
-      Some s
-  | Some _ ->
-      shared_box := None;
-      None
-  | None -> None
 
 (* The PCI probe callback outlives any single insmod (it is registered
    once per module load), so the env and device filter for the binding
@@ -742,6 +728,18 @@ let shared_live () =
    devices on the bus are refused and left for their own bind. *)
 let pending : (Driver_env.t * string option * adapter option ref) option ref =
   ref None
+
+(* This driver's globals, device models and module parameters included,
+   belong to one machine lifetime. *)
+let () =
+  K.Boot.on_boot (fun () ->
+      Hashtbl.reset models;
+      reset_module_params ();
+      checked_params := [];
+      Hashtbl.reset instances;
+      active_box := None;
+      shared_box := None;
+      pending := None)
 
 let pci_probe pci =
   match !pending with
@@ -771,7 +769,7 @@ let insmod ?dev env =
     if adapter.scope = driver && !active_box = None then active_box := Some t;
     Ok t
   in
-  match shared_live () with
+  match !shared_box with
   | Some s -> (
       (* module already loaded: bind one more device to it *)
       K.Pci.rescan ?slot:dev ();
@@ -806,7 +804,7 @@ let insmod ?dev env =
       | Ok handle -> (
           match !out with
           | Some adapter ->
-              let s = { s_handle = handle; s_epoch = K.Boot.epoch (); s_refs = 0 } in
+              let s = { s_handle = handle; s_refs = 0 } in
               shared_box := Some s;
               wrap s adapter
           | None -> Error (-Errors.enodev))
@@ -821,7 +819,7 @@ let rmmod t =
       (* release this binding's device only; siblings keep running *)
       K.Pci.detach ~slot:(K.Pci.slot t.adapter.pci);
       t.module_handle <- None;
-      (match shared_live () with
+      (match !shared_box with
       | Some s when s.s_handle == h ->
           s.s_refs <- s.s_refs - 1;
           if s.s_refs <= 0 then begin

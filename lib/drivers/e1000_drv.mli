@@ -82,8 +82,6 @@ val set_module_params :
   unit ->
   unit
 
-val reset_module_params : unit -> unit
-
 val checked_params : (string * Decaf_runtime.Params.outcome) list ref
 (** Name and validation outcome of each parameter after the last probe
     (module-wide, kept for tooling compatibility; instances snapshot

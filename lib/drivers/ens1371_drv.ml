@@ -203,29 +203,25 @@ let active_box : t option ref = ref None
 let active () = !active_box
 
 (* One K.Modules load serves every instance (see E1000_drv): refcounted,
-   really unloaded only when the last binding goes; the boot epoch tag
-   invalidates a handle that survived a reboot. *)
-type shared = {
-  s_handle : K.Modules.handle;
-  s_epoch : int;
-  mutable s_refs : int;
-}
+   really unloaded only when the last binding goes. *)
+type shared = { s_handle : K.Modules.handle; mutable s_refs : int }
 
 let shared_box : shared option ref = ref None
-
-let shared_live () =
-  match !shared_box with
-  | Some s when s.s_epoch = K.Boot.epoch () && K.Modules.is_loaded driver ->
-      Some s
-  | Some _ ->
-      shared_box := None;
-      None
-  | None -> None
 
 (* env + device filter for the binding being created; only the probe the
    caller asked for claims a device (see E1000_drv.pending). *)
 let pending : (Driver_env.t * string option * adapter option ref) option ref =
   ref None
+
+(* This driver's globals, device models included, belong to one
+   machine lifetime. *)
+let () =
+  K.Boot.on_boot (fun () ->
+      Hashtbl.reset models;
+      Hashtbl.reset instances;
+      active_box := None;
+      shared_box := None;
+      pending := None)
 
 let pci_probe pci =
   match !pending with
@@ -250,7 +246,7 @@ let insmod ?dev env =
     if adapter.scope = driver && !active_box = None then active_box := Some t;
     Ok t
   in
-  match shared_live () with
+  match !shared_box with
   | Some s -> (
       (* module already loaded: bind one more device to it *)
       K.Pci.rescan ?slot:dev ();
@@ -282,9 +278,7 @@ let insmod ?dev env =
       | Ok handle -> (
           match !out with
           | Some adapter ->
-              let s =
-                { s_handle = handle; s_epoch = K.Boot.epoch (); s_refs = 0 }
-              in
+              let s = { s_handle = handle; s_refs = 0 } in
               shared_box := Some s;
               wrap s adapter
           | None -> Error (-Errors.enodev))
@@ -296,7 +290,7 @@ let rmmod t =
       (* release this binding's device only; siblings keep running *)
       K.Pci.detach ~slot:t.adapter.slot;
       t.module_handle <- None;
-      (match shared_live () with
+      (match !shared_box with
       | Some s when s.s_handle == h ->
           s.s_refs <- s.s_refs - 1;
           if s.s_refs <= 0 then begin

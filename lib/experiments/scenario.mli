@@ -2,8 +2,8 @@
     body in a scheduler thread, collect crossing counters. *)
 
 val boot : unit -> unit
-(** Reset every subsystem: kernel, XPC domains and counters, decaf
-    runtime. *)
+(** Boot a fresh machine ({!Decaf_kernel.Boot.boot}) and register the
+    default drivers with the driver registry. *)
 
 val in_thread : (unit -> 'a) -> 'a
 (** Run the body as the initial kernel thread and drive the simulation

@@ -1,43 +1,6 @@
-(* Monotonic across the whole process: never reset, so a subsystem that
-   caches kernel-lifetime resources (threads, timers) can compare epochs
-   and drop anything created before the latest boot. *)
-let epoch_counter = ref 0
-let epoch () = !epoch_counter
+(* Registration order is module-initialization order (see boot.mli).
+   The queue itself is never cleared: it is wiring, not machine state. *)
+let hooks : (unit -> unit) Queue.t = Queue.create ()
 
-let boot () =
-  incr epoch_counter;
-  Clock.reset ();
-  Sched.reset ();
-  Irq.reset ();
-  Io.reset ();
-  Pci.reset ();
-  Kmem.reset ();
-  Dma.reset ();
-  Netcore.reset ();
-  Sndcore.reset ();
-  Usbcore.reset ();
-  Inputcore.reset ();
-  Modules.reset ();
-  Hotplug.reset ();
-  Faultinject.reset ();
-  Klog.clear ();
-  Cost.reset ()
-
-let check_quiescent () =
-  let problems = ref [] in
-  let add fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
-  if Sched.runnable_count () > 0 then
-    add "%d threads still runnable" (Sched.runnable_count ());
-  (match Kmem.outstanding () with
-  | 0, _ -> ()
-  | n, b ->
-      let tags =
-        Kmem.leaks () |> List.map fst |> String.concat ", "
-      in
-      add "%d allocations (%d bytes) leaked: %s" n b tags);
-  (match Modules.loaded () with
-  | [] -> ()
-  | ms -> add "modules still loaded: %s" (String.concat ", " ms));
-  match !problems with
-  | [] -> Ok ()
-  | ps -> Error (String.concat "; " (List.rev ps))
+let on_boot reset = Queue.push reset hooks
+let boot () = Queue.iter (fun reset -> reset ()) hooks

@@ -17,7 +17,7 @@ let utilization ~since ~busy_since =
    integer compares. (due, seq) is the only firing order: events
    scheduled for the same due time fire in scheduling order (FIFO),
    because [seq] is assigned monotonically by [at] and never reset — not
-   even across [reset]. An entry is its own event id.
+   even across a boot. An entry is its own event id.
 
    Cancellation is lazy: [cancel] only marks the entry dead, and a dead
    entry is dropped when it surfaces at the root. So that a timer
@@ -263,5 +263,6 @@ let reset () =
   boot_seq := !seq;
   Hashtbl.reset span_fifos;
   Latency.reset ()
+let () = Boot.on_boot reset
 
 let () = Klog.set_timestamp_source now

@@ -27,7 +27,7 @@ val at : int -> (unit -> unit) -> event_id
 (** [at t f] schedules [f] to run at absolute virtual time [t] (or
     immediately after now, if [t] is in the past). Events scheduled for
     the same due time fire in scheduling order (stable FIFO tie-break),
-    and event ids never collide across {!reset} — both are load-bearing
+    and event ids never collide across boots — both are load-bearing
     for reproducible latency percentiles. *)
 
 val after : int -> (unit -> unit) -> event_id
@@ -56,12 +56,6 @@ val advance_to_next_event : unit -> bool
 (** Idle until the next pending event and run every event due at that
     instant. Returns [false] when no event is pending. The elapsed
     interval counts as idle time. *)
-
-val reset : unit -> unit
-(** Reboot: clear all events, return to time 0, zero the busy counter,
-    drop all in-flight tracked events and registered latency paths. The
-    event-id sequence is {e not} reset, so ids from a previous life can
-    never cancel this life's events. *)
 
 (** {2 Tracked events}
 

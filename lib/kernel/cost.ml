@@ -60,3 +60,4 @@ let reset () =
   current.ring_slot_write_ns <- d.ring_slot_write_ns;
   current.ring_slot_read_ns <- d.ring_slot_read_ns;
   current.jvm_startup_ns <- d.jvm_startup_ns
+let () = Boot.on_boot reset

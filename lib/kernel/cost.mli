@@ -40,6 +40,3 @@ type t = {
 
 val current : t
 (** The cost table used by the running simulation. *)
-
-val reset : unit -> unit
-(** Restore every cost to its default. *)

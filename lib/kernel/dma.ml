@@ -26,3 +26,4 @@ let active_mappings () = !active
 let reset () =
   next_bus_addr := 0x1000_0000;
   active := 0
+let () = Boot.on_boot reset

@@ -15,4 +15,3 @@ val bus_addr : mapping -> int
 
 val size : mapping -> int
 val active_mappings : unit -> int
-val reset : unit -> unit

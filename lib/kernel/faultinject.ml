@@ -54,6 +54,7 @@ let reset () =
   disarm ();
   injected := 0;
   log_v := []
+let () = Boot.on_boot reset
 
 let record ~site ~addr kind =
   incr injected;

@@ -65,6 +65,3 @@ val record_external : site:string -> ?addr:int -> kind -> unit
 val injected_count : unit -> int
 val injections : unit -> injection list
 val kind_name : kind -> string
-
-val reset : unit -> unit
-(** Disarm and zero all counters (called on boot). *)

@@ -26,3 +26,4 @@ let events_seen () = !seen
 let reset () =
   subscribers := [];
   seen := 0
+let () = Boot.on_boot reset

@@ -17,12 +17,10 @@ val bus_name : bus -> string
 
 val subscribe : (event -> unit) -> unit
 (** Handlers run synchronously, in publication order, in the publishing
-    thread. Subscriptions last until the next {!reset} (each kernel boot
+    thread. Subscriptions last until the next boot (each kernel boot
     starts with no subscribers). *)
 
 val publish : event -> unit
 
 val events_seen : unit -> int
-(** Events published since the last {!reset}. *)
-
-val reset : unit -> unit
+(** Events published since the last boot. *)

@@ -38,3 +38,4 @@ let report_key d ~code ~pressed = emit d (Key (code, pressed))
 let sync d = emit d Sync_report
 let events_reported d = d.events
 let reset () = registry := []
+let () = Boot.on_boot reset

@@ -17,4 +17,3 @@ val report_rel : t -> dx:int -> dy:int -> unit
 val report_key : t -> code:int -> pressed:bool -> unit
 val sync : t -> unit
 val events_reported : t -> int
-val reset : unit -> unit

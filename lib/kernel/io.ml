@@ -87,3 +87,4 @@ let reset () =
   regions := [];
   port_count := 0;
   mmio_count := 0
+let () = Boot.on_boot reset

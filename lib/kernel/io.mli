@@ -49,5 +49,3 @@ val writel : int -> int -> unit
 
 val port_accesses : unit -> int
 val mmio_accesses : unit -> int
-
-val reset : unit -> unit

@@ -136,8 +136,6 @@ and drain_backlog () =
         drain_backlog ()
     | None -> ()
 
-let () = Sched.set_irq_window_hook drain_backlog
-
 let raise_irq n =
   let l = check n in
   Ktrace.note (Ktrace.Irq_line n) Ktrace.Signal;
@@ -166,4 +164,10 @@ let spurious () = !spurious_count
 let reset () =
   Array.iteri (fun i _ -> lines.(i) <- fresh_line ()) lines;
   Queue.clear backlog;
-  spurious_count := 0
+  spurious_count := 0;
+  (* re-arm the backlog drain over any hook installed since *)
+  Sched.set_irq_window_hook drain_backlog
+
+let () =
+  reset ();
+  Boot.on_boot reset

@@ -33,5 +33,3 @@ val delivered : int -> int
 
 val spurious : unit -> int
 (** Interrupts raised on lines with no handler. *)
-
-val reset : unit -> unit

@@ -33,6 +33,7 @@ let dmesg () =
   |> List.rev
 
 let clear () = Queue.clear buffer
+let () = Boot.on_boot clear
 
 let count level =
   Queue.fold (fun n e -> if e.level = level then n + 1 else n) 0 buffer

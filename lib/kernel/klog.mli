@@ -9,9 +9,6 @@ val dmesg : unit -> string list
 (** All retained messages, oldest first, each prefixed with its level and
     virtual timestamp. *)
 
-val clear : unit -> unit
-(** Empty the log (used when the simulated machine is rebooted). *)
-
 val count : level -> int
 (** Number of retained messages at exactly [level]. *)
 

@@ -63,3 +63,4 @@ let reset () =
   Hashtbl.reset live;
   countdown := None;
   next_id := 0
+let () = Boot.on_boot reset

@@ -37,5 +37,3 @@ val outstanding : unit -> int * int
 
 val leaks : unit -> (string * int) list
 (** Tags and sizes of live allocations, oldest first. *)
-
-val reset : unit -> unit

@@ -44,6 +44,9 @@ let access_name = function
 let dependent_access a b =
   match (a, b) with Read, Read -> false | _ -> true
 
+(* The observer belongs to the exploration harness, not to the machine:
+   like the Sched controller it deliberately survives a boot, and the
+   harness clears it itself after each execution. *)
 let hook : (obj -> access -> unit) option ref = ref None
 let active () = !hook <> None
 let set_hook f = hook := Some f

@@ -134,8 +134,8 @@ let merged ts =
 (* --- the path registry ------------------------------------------------
 
    One histogram per named event path ("irq", "xpc.dispatch", "net.rx",
-   ...), created on first use. Clock.reset clears the registry, so every
-   boot starts with empty timelines. *)
+   ...), created on first use. The clock's boot reset clears the
+   registry, so every boot starts with empty timelines. *)
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 16
 

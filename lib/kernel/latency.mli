@@ -52,7 +52,7 @@ val bucket_bounds : int -> int * int
 (** {2 Path registry}
 
     One histogram per named event path, created on first use. The
-    registry is cleared by [Clock.reset], so every boot starts with
+    clock's boot reset clears the registry, so every boot starts with
     empty timelines. *)
 
 val get : string -> t

@@ -33,3 +33,4 @@ let init_latency_ns h = h.latency_ns
 let is_loaded name = List.exists (fun h -> h.live && h.name = name) !table
 let loaded () = List.map (fun h -> h.name) !table
 let reset () = table := []
+let () = Boot.on_boot reset

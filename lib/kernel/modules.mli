@@ -14,4 +14,3 @@ val rmmod : handle -> unit
 val init_latency_ns : handle -> int
 val is_loaded : string -> bool
 val loaded : unit -> string list
-val reset : unit -> unit

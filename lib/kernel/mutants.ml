@@ -20,6 +20,9 @@ let drop_unbind_drain = ref false
    a preemptive machine and violates the lock-order discipline here. *)
 let swap_lock_order = ref false
 
+(* Not a boot hook: the explorer reboots the world for every schedule
+   and must not clear the mutant it is testing. Tests clear the flags
+   explicitly. *)
 let reset () =
   drop_unbind_drain := false;
   swap_lock_order := false

@@ -114,3 +114,4 @@ let netif_carrier_on d = d.carrier <- true
 let netif_carrier_off d = d.carrier <- false
 let netif_carrier_ok d = d.carrier
 let reset () = registry := []
+let () = Boot.on_boot reset

@@ -165,3 +165,4 @@ let devices () = !bus
 let reset () =
   bus := [];
   drivers := []
+let () = Boot.on_boot reset

@@ -76,4 +76,3 @@ val config_space_words : dev -> int array
     Figure 3. *)
 
 val devices : unit -> dev list
-val reset : unit -> unit

@@ -196,7 +196,7 @@ let run ?until_ns () =
   loop ()
 
 (* [controller] deliberately survives reset: the explorer reboots the
-   world (Boot.boot -> Sched.reset) at the start of every execution and
+   world (Boot.boot runs [reset]) at the start of every execution and
    must keep steering across the reboot. *)
 let reset () =
   Queue.clear runq;
@@ -206,3 +206,4 @@ let reset () =
   spins := 0;
   window_hook_depth := 0;
   next_tid := 1
+let () = Boot.on_boot reset

@@ -86,7 +86,7 @@ val set_controller : (choice array -> int) -> unit
     the event queue is nonempty, and returns the index of the choice to
     take; index 0 reproduces the uncontrolled FIFO schedule, a negative
     return aborts the run. Installed by the systematic-exploration
-    harness ({!Decaf_check}); survives {!reset} so it keeps steering
+    harness ({!Decaf_check}); survives {!Boot.boot} so it keeps steering
     across the per-execution reboot. *)
 
 val clear_controller : unit -> unit
@@ -98,6 +98,3 @@ val run : ?until_ns:int -> unit -> unit
 
 val runnable_count : unit -> int
 (** Number of threads currently queued to run. *)
-
-val reset : unit -> unit
-(** Discard all threads and context flags (reboot). *)

@@ -107,3 +107,4 @@ let period_elapsed s =
 let reset () =
   cards := [];
   discipline := Lock_mutex
+let () = Boot.on_boot reset

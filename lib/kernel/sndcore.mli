@@ -55,5 +55,3 @@ val period_elapsed : substream -> unit
 (** Called by the driver (from its interrupt handler) when the device
     finishes a period; refreshes the hardware pointer and wakes blocked
     writers. *)
-
-val reset : unit -> unit

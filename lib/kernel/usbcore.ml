@@ -68,3 +68,4 @@ let bulk_msg ~direction ~endpoint buffer =
 
 let frame_number () = (require_hcd ()).hcd_frame_number ()
 let reset () = hcd := None
+let () = Boot.on_boot reset

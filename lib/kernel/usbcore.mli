@@ -37,4 +37,3 @@ val bulk_msg :
     the number of bytes transferred, or the URB's error status. *)
 
 val frame_number : unit -> int
-val reset : unit -> unit

@@ -10,4 +10,3 @@ val alloc : size:int -> int
 (** A fresh, 16-byte-aligned simulated address. *)
 
 val embedded : parent:int -> offset:int -> int
-val reset : unit -> unit

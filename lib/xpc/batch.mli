@@ -89,9 +89,3 @@ val configure : ?watermark:int -> ?flush_interval_ns:int -> unit -> unit
 
 val stats : unit -> stats
 val snapshot : unit -> stats
-
-val reset : unit -> unit
-(** Drop all queues, counters and configuration; forget the flush
-    workqueue/timer (they are re-created lazily, tagged with the current
-    {!Decaf_kernel.Boot.epoch}, so a reboot never leaves a stale worker
-    behind). Called from [Scenario.boot]. *)

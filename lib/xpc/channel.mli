@@ -88,12 +88,11 @@ val tracker_shards : unit -> Objtracker.stats array
     report shard-hit distribution alongside crossing counts. *)
 
 val reset_stats : unit -> unit
-(** Zero the counters, the machine-wide combolock totals and the
-    object-tracker registry. Does {e not} touch configuration such as
-    the direct-marshaling flag — use {!reset_config} for that. *)
-
-val reset_config : unit -> unit
-(** Restore default configuration (direct marshaling off). *)
+(** Zero the counters, the machine-wide combolock totals, the boundary
+    counters and the object-tracker registry, for a measurement that
+    starts mid-life. Does {e not} touch configuration such as the
+    direct-marshaling flag. A boot does all of this, restores the
+    configuration and forgets every in-flight crossing. *)
 
 val snapshot : unit -> stats
 (** A copy of the current counters (for before/after measurements). *)

@@ -22,9 +22,9 @@
       shared object still serialize through that object's combolock, and
       the wait shows up in the blocked worker's lane.
 
-    Pools are tagged with the boot epoch and dropped on reboot. With the
-    default [workers = 1] the admission gate reproduces the historical
-    "a user-level runtime services one XPC at a time" behaviour. *)
+    Every boot drops the pools. With the default [workers = 1] the
+    admission gate reproduces the historical "a user-level runtime
+    services one XPC at a time" behaviour. *)
 
 type pool_stats = {
   domain : Domain.t;
@@ -83,5 +83,4 @@ val overlap_saved_ns : unit -> int
 
 val pool_stats : unit -> pool_stats list
 val reset : unit -> unit
-(** Forget all pools and restore [workers = 1]. Called from
-    [Scenario.boot]. *)
+(** Forget all pools and restore [workers = 1]. Runs on every boot. *)

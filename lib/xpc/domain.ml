@@ -22,3 +22,4 @@ let with_domain d f =
 
 let is_user = function Kernel -> false | Driver_lib | Decaf_driver -> true
 let reset () = cur := Kernel
+let () = Decaf_kernel.Boot.on_boot reset

@@ -71,6 +71,3 @@ val limits : limits
 val configure : ?max_inbound_bytes:int -> ?max_batch_queue:int -> unit -> unit
 (** Module-parameter discipline: an out-of-range value logs a warning
     and falls back to the default instead of being honored. *)
-
-val reset : unit -> unit
-(** Re-enable validation and restore default limits (boot path). *)

@@ -84,6 +84,7 @@ let pp ppf t =
 let delta = ref false
 let set_delta_enabled v = delta := v
 let delta_enabled () = !delta
+let () = Decaf_kernel.Boot.on_boot (fun () -> delta := false)
 
 module Dirty = struct
   module K = Decaf_kernel

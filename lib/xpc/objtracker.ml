@@ -66,7 +66,7 @@ type t = { name : string; shards : shard array; mask : int }
 let default_shards = 8
 
 (* Every live tracker, for machine-wide per-shard reporting through
-   Channel.stats. Cleared by [reset_registry] (Scenario.boot) before the
+   Channel.stats. Cleared by [reset_registry] (on every boot) before the
    runtime recreates its trackers. *)
 let registry : t list ref = ref []
 let reset_registry () = registry := []

@@ -28,7 +28,7 @@ type stats = {
 val create : ?name:string -> ?shards:int -> unit -> t
 (** [shards] (default 8) is rounded up to a power of two. Every tracker
     is added to a process-wide registry consumed by
-    {!global_shard_stats}; [Scenario.boot] clears the registry via
+    {!global_shard_stats}; every boot clears the registry via
     {!reset_registry} before the runtime recreates its trackers. *)
 
 val associate : t -> addr:int -> Univ.t -> unit

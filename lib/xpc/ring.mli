@@ -112,6 +112,3 @@ val configure :
     (default 100 ms — rings carry coalescable telemetry, an order
     looser than the batch queue's 10 ms). [depth]: slot count for rings
     created afterwards (default 256). *)
-
-val reset : unit -> unit
-(** Forget every ring, all infrastructure and all counters (boot). *)

@@ -9,16 +9,6 @@ module Plan = Marshal_plan
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let boot () =
-  K.Boot.boot ();
-  Domain.reset ();
-  Channel.reset_stats ();
-  Channel.reset_config ();
-  Batch.reset ();
-  Plan.set_delta_enabled false;
-  Decaf_runtime.Runtime.reset ();
-  Addr.reset ()
-
 let in_thread f =
   ignore (K.Sched.spawn ~name:"test" f);
   K.Sched.run ()
@@ -28,7 +18,7 @@ let crossings () = (Channel.snapshot ()).Channel.kernel_user_calls
 (* --- batching on: one crossing, FIFO delivery --- *)
 
 let test_doorbell_flush_fifo () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   let order = ref [] in
   in_thread (fun () ->
@@ -53,7 +43,7 @@ let test_doorbell_flush_fifo () =
   check "nothing left" 0 (Batch.pending ())
 
 let test_same_domain_runs_inline () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   in_thread (fun () ->
       Domain.with_domain Domain.Driver_lib (fun () ->
@@ -64,7 +54,7 @@ let test_same_domain_runs_inline () =
           check "no crossing" 0 (crossings ())))
 
 let test_watermark_forces_flush () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   Batch.configure ~watermark:4 ();
   in_thread (fun () ->
@@ -79,7 +69,7 @@ let test_watermark_forces_flush () =
       check "one flush crossing" 1 st.Batch.flush_crossings)
 
 let test_timer_bounds_latency () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   in_thread (fun () ->
       Batch.post ~target:Domain.Driver_lib (fun () -> ());
@@ -95,7 +85,7 @@ let test_timer_bounds_latency () =
 (* --- batching off: the measurement baseline pays per-call crossings *)
 
 let test_disabled_pays_per_call () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled false;
   in_thread (fun () ->
       let before = crossings () in
@@ -114,7 +104,7 @@ let test_disabled_pays_per_call () =
 (* --- fault injection on the flush crossing: no drop, no duplicate --- *)
 
 let test_flush_timeout_requeues_intact () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   let order = ref [] in
   let note i () = order := i :: !order in
@@ -148,7 +138,7 @@ let test_flush_timeout_requeues_intact () =
     (List.rev !order)
 
 let test_flush_retried_to_success () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   let ran = ref 0 in
   in_thread (fun () ->
@@ -176,34 +166,31 @@ let test_flush_retried_to_success () =
 (* --- queue bound: graceful degradation against a flooding driver --- *)
 
 let test_queue_bound_drops () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   Guard.configure ~max_batch_queue:4 ();
-  Fun.protect
-    ~finally:(fun () -> Guard.reset ())
-    (fun () ->
-      in_thread (fun () ->
-          (* a tight posting loop, no yield: nothing drains the queue *)
-          for i = 1 to 10 do
-            ignore i;
-            Batch.post ~target:Domain.Driver_lib ~payload_bytes:8
-              ~context:"flood" (fun () -> ())
-          done;
-          check "queue capped at the bound" 4 (Batch.pending ());
-          let st = Batch.stats () in
-          check "excess posts dropped, not queued" 6 st.Batch.dropped;
-          check_bool "drops are counted machine-wide" true
-            (Boundary.totals.Boundary.dropped >= 6);
-          (* dropping is silent degradation: posting context may be an
-             interrupt, where a boundary fault could not be supervised *)
-          Batch.doorbell ();
-          check "the bounded batch still delivers" 4
-            (Batch.stats ()).Batch.delivered))
+  in_thread (fun () ->
+      (* a tight posting loop, no yield: nothing drains the queue *)
+      for i = 1 to 10 do
+        ignore i;
+        Batch.post ~target:Domain.Driver_lib ~payload_bytes:8
+          ~context:"flood" (fun () -> ())
+      done;
+      check "queue capped at the bound" 4 (Batch.pending ());
+      let st = Batch.stats () in
+      check "excess posts dropped, not queued" 6 st.Batch.dropped;
+      check_bool "drops are counted machine-wide" true
+        (Boundary.totals.Boundary.dropped >= 6);
+      (* dropping is silent degradation: posting context may be an
+         interrupt, where a boundary fault could not be supervised *)
+      Batch.doorbell ();
+      check "the bounded batch still delivers" 4
+        (Batch.stats ()).Batch.delivered)
 
 (* --- forged delta acknowledgements --- *)
 
 let test_forged_ack_rejected () =
-  boot ();
+  K.Boot.boot ();
   let t = Plan.Dirty.create ~owner:"nic" () in
   Plan.Dirty.mark t "a";
   let upto = Plan.Dirty.snapshot t in
@@ -220,15 +207,15 @@ let test_forged_ack_rejected () =
   check "honest ack still flushes" 0 (Plan.Dirty.pending t)
 
 let test_survives_reboot () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   in_thread (fun () ->
       Batch.post ~target:Domain.Driver_lib (fun () -> ());
       Batch.drain ());
   check "first life delivered" 1 (Batch.stats ()).Batch.delivered;
   (* reboot: the old workqueue thread and timer died with the scheduler;
-     the epoch tag makes Batch rebuild them instead of touching them *)
-  boot ();
+     Batch's boot reset forgets them, so the next post builds fresh ones *)
+  K.Boot.boot ();
   Batch.set_enabled true;
   let ran = ref false in
   in_thread (fun () ->
@@ -249,7 +236,7 @@ let sync_to_user k j_ref =
   (j, Bytes.length payload)
 
 let test_delta_kernel_to_user () =
-  boot ();
+  K.Boot.boot ();
   Plan.set_delta_enabled true;
   let k = O.fresh_kernel_nic () in
   O.set_k_msg_enable k 7;
@@ -275,7 +262,7 @@ let test_delta_kernel_to_user () =
   check "no pending marks" 0 (Plan.Dirty.pending k.O.k_dirty)
 
 let test_delta_user_to_kernel () =
-  boot ();
+  K.Boot.boot ();
   Plan.set_delta_enabled true;
   let k = O.fresh_kernel_nic () in
   let j = O.unmarshal_at_user (O.marshal_to_user k) in
@@ -302,7 +289,7 @@ let test_dirty_mark_during_crossing_survives_ack () =
   check "one mark left" 1 (Plan.Dirty.pending t)
 
 let test_full_mode_ignores_dirty_state () =
-  boot ();
+  K.Boot.boot ();
   Plan.set_delta_enabled false;
   let k = O.fresh_kernel_nic () in
   let j = O.unmarshal_at_user (O.marshal_to_user k) in

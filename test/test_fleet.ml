@@ -169,8 +169,7 @@ let per_instance_params () =
       (* i0's snapshot survives the sibling unload *)
       check "i0 params survive sibling rmmod" 1024
         (E1000_drv.params t0).E1000_drv.p_tx_descriptors;
-      E1000_drv.rmmod t0;
-      E1000_drv.reset_module_params ())
+      E1000_drv.rmmod t0)
 
 (* --- decafctl status at fleet scale --- *)
 
@@ -260,6 +259,55 @@ let churn_keeps_invariants () =
       ring_conserved ();
       check "no leaked tracker entries after churn" base (tracker_entries ()))
 
+(* --- a reboot leaves a fresh machine --- *)
+
+(* Driver globals, module parameters, the registry and the simulated
+   address allocator all belong to one machine lifetime: after a reboot
+   without the devices, nothing of the previous life is reachable. *)
+let reboot_is_fresh () =
+  Scenario.boot ();
+  let first_addr = Decaf_xpc.Addr.alloc ~size:16 in
+  ignore (setup_fleet 1);
+  let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
+  ignore
+    (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10
+       ~mac:Scenario.mac ~link ());
+  ignore (Ens1371_drv.setup_device ~slot:"00:06.0" ~io_base:0xd000 ~irq:9 ());
+  E1000_drv.set_module_params ~tx_descriptors:1024 ();
+  Scenario.in_thread (fun () ->
+      List.iter (fun name -> ignore (bind_ok name)) [ "e1000"; "8139too"; "ens1371" ]);
+  check_bool "e1000 bound at its slot" true
+    (E1000_drv.netdev_at ~slot:(slot_of 0) <> None);
+  check_bool "first life has active drivers" true
+    (E1000_drv.active () <> None
+    && Rtl8139_drv.active () <> None
+    && Ens1371_drv.active () <> None);
+  Scenario.boot ();
+  check_bool "no netdev at the old slot" true
+    (E1000_drv.netdev_at ~slot:(slot_of 0) = None);
+  check_bool "no active e1000" true (E1000_drv.active () = None);
+  check_bool "no active rtl8139" true (Rtl8139_drv.active () = None);
+  check_bool "no active ens1371" true (Ens1371_drv.active () = None);
+  check_bool "no checked e1000 params" true (!E1000_drv.checked_params = []);
+  check "address allocator restarts" first_addr
+    (Decaf_xpc.Addr.alloc ~size:16);
+  Alcotest.(check (list string))
+    "one unbound binding per default driver"
+    (List.sort compare Driver_set.names)
+    (Driver_core.snapshots ()
+    |> List.filter (fun s -> s.Driver_core.s_state = Driver_core.Unbound)
+    |> List.map (fun s -> s.Driver_core.s_binding)
+    |> List.sort compare);
+  ignore (setup_fleet 1);
+  Scenario.in_thread (fun () ->
+      let id = bind_ok "e1000" in
+      (match E1000_drv.active () with
+      | Some t ->
+          check "module params back at their defaults" 256
+            (E1000_drv.params t).E1000_drv.p_tx_descriptors
+      | None -> Alcotest.fail "e1000 bound but not active");
+      Driver_core.rmmod id)
+
 let () =
   Alcotest.run "fleet"
     [
@@ -273,5 +321,7 @@ let () =
           Alcotest.test_case "status at fleet scale" `Quick fleet_status;
           Alcotest.test_case "churn keeps invariants" `Quick
             churn_keeps_invariants;
+          Alcotest.test_case "reboot leaves a fresh machine" `Quick
+            reboot_is_fresh;
         ] );
     ]

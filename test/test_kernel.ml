@@ -1063,13 +1063,13 @@ let test_module_failed_init () =
 
 let test_boot_quiescent () =
   run_sim (fun () -> ());
-  (match Boot.check_quiescent () with
+  (match Quiesce.check () with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "not quiescent: %s" msg);
   Boot.boot ();
   ignore (Sched.spawn (fun () -> Kmem.alloc ~tag:"leak" 16 |> ignore));
   Sched.run ();
-  check_bool "leak detected" true (Result.is_error (Boot.check_quiescent ()))
+  check_bool "leak detected" true (Result.is_error (Quiesce.check ()))
 
 (* --- Properties --- *)
 

@@ -17,19 +17,6 @@ module Scenario = Decaf_experiments.Scenario
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let boot () =
-  K.Boot.boot ();
-  Domain.reset ();
-  Channel.reset_stats ();
-  Channel.reset_config ();
-  Batch.reset ();
-  Ring.reset ();
-  Dispatch.reset ();
-  Guard.reset ();
-  Plan.set_delta_enabled false;
-  Decaf_runtime.Runtime.reset ();
-  Addr.reset ()
-
 let in_thread f =
   ignore (K.Sched.spawn ~name:"test" f);
   K.Sched.run ()
@@ -76,7 +63,7 @@ let slot ?(kind = 1) ~handle ?(arg0 = 0) ?(arg1 = 0) () =
 (* --- doorbell coalescing --- *)
 
 let test_watermark_doorbell_fifo () =
-  boot ();
+  K.Boot.boot ();
   Ring.configure ~watermark:4 ();
   let order = ref [] in
   in_thread (fun () ->
@@ -101,7 +88,7 @@ let test_watermark_doorbell_fifo () =
   invariant ()
 
 let test_timer_bounds_latency () =
-  boot ();
+  K.Boot.boot ();
   let ran = ref 0 in
   in_thread (fun () ->
       let ring, handle = fresh_ring ~handler:(fun _ -> incr ran) () in
@@ -120,7 +107,7 @@ let test_timer_bounds_latency () =
 (* --- bounded depth --- *)
 
 let test_overflow_drops_and_counts () =
-  boot ();
+  K.Boot.boot ();
   in_thread (fun () ->
       let ring, handle = fresh_ring ~depth:4 ~handler:(fun _ -> ()) () in
       (* a tight producing loop, no yield: nothing drains the ring *)
@@ -143,7 +130,7 @@ let test_overflow_drops_and_counts () =
 (* --- kernel-side slot validation --- *)
 
 let test_hostile_slots_rejected () =
-  boot ();
+  K.Boot.boot ();
   let applied = ref 0 in
   in_thread (fun () ->
       let ring, handle = fresh_ring ~handler:(fun _ -> incr applied) () in
@@ -167,7 +154,7 @@ let test_hostile_slots_rejected () =
 (* --- failed doorbells --- *)
 
 let test_failed_doorbell_keeps_slots () =
-  boot ();
+  K.Boot.boot ();
   let ran = ref 0 in
   in_thread (fun () ->
       let ring, handle = fresh_ring ~handler:(fun _ -> incr ran) () in
@@ -195,7 +182,7 @@ let test_failed_doorbell_keeps_slots () =
 (* --- teardown --- *)
 
 let test_destroy_discards_with_count () =
-  boot ();
+  K.Boot.boot ();
   in_thread (fun () ->
       let ring, handle = fresh_ring ~handler:(fun _ -> ()) () in
       for i = 1 to 3 do
@@ -338,6 +325,62 @@ let test_surprise_removal_discards_with_count () =
         (Driver_core.lifecycle_name (Driver_core.state "e1000"));
       invariant ())
 
+(* --- a reboot in the middle of a crossing --- *)
+
+(* A boot abandons the old life mid-flight: a loaded e1000, and a ring
+   doorbell and a batch flush each suspended inside a crossing into a
+   user domain, their workers with them. Nothing of it may reach the
+   new life: no crossing counts as in flight, a new crossing is
+   admitted at once, the ring and batch lanes deliver through freshly
+   created workers, and the driver loads again. *)
+let test_reboot_mid_crossing () =
+  let setup_e1000 () =
+    let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
+    ignore
+      (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
+         ~mac:Scenario.mac ~link ())
+  in
+  let bind_e1000 () =
+    match Driver_core.bind_device "e1000" ~mode:Driver_env.Decaf () with
+    | Ok id -> id
+    | Error rc -> Alcotest.failf "e1000 bind failed: %d" rc
+  in
+  let stuck () = K.Sched.sleep_ns 10_000_000_000 in
+  Scenario.boot ();
+  setup_e1000 ();
+  in_thread (fun () -> ignore (bind_e1000 ()));
+  ignore
+    (K.Sched.spawn ~name:"producer" (fun () ->
+         let ring, handle = fresh_ring ~handler:(fun _ -> stuck ()) () in
+         check_bool "slot accepted" true (Ring.produce ring (slot ~handle ()));
+         Batch.post ~target:Domain.Decaf_driver stuck));
+  (* past the ring's 100 ms doorbell timer *)
+  K.Sched.run ~until_ns:(K.Clock.now () + 200_000_000) ();
+  check "ring doorbell suspended in the driver library" 1
+    (Channel.in_flight Domain.Driver_lib);
+  check "batch flush suspended in the decaf driver" 1
+    (Channel.in_flight Domain.Decaf_driver);
+  check_bool "e1000 loaded" true (K.Modules.is_loaded "e1000");
+  Scenario.boot ();
+  List.iter
+    (fun d ->
+      check ("nothing in flight in " ^ Domain.to_string d) 0
+        (Channel.in_flight d))
+    [ Domain.Kernel; Domain.Driver_lib; Domain.Decaf_driver ];
+  let crossed = ref false in
+  in_thread (fun () ->
+      Channel.call ~target:Domain.Driver_lib (fun () -> crossed := true));
+  check_bool "new crossing admitted and completed" true !crossed;
+  let slots = ref 0 and posts = ref 0 in
+  in_thread (fun () ->
+      let ring, handle = fresh_ring ~handler:(fun _ -> incr slots) () in
+      check_bool "slot accepted" true (Ring.produce ring (slot ~handle ()));
+      Batch.post ~target:Domain.Decaf_driver (fun () -> incr posts));
+  check "ring slot delivered after reboot" 1 !slots;
+  check "batched post delivered after reboot" 1 !posts;
+  setup_e1000 ();
+  in_thread (fun () -> Driver_core.rmmod (bind_e1000 ()))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "decaf_ring"
@@ -365,4 +408,5 @@ let () =
           tc "surprise removal discards with count"
             test_surprise_removal_discards_with_count;
         ] );
+      ("ring-reboot", [ tc "reboot mid-crossing" test_reboot_mid_crossing ]);
     ]

@@ -179,6 +179,25 @@ let test_measure_filters () =
       Alcotest.fail
         (Printf.sprintf "expected exactly one cell, got %d" (List.length l))
 
+(* A matrix cell must not depend on what ran before it in the process:
+   every boot restarts the whole machine, simulated addresses included,
+   and the tracker shard an object lands in follows its address. *)
+let test_cell_run_order_independent () =
+  let cell () =
+    E.Xpcperf.measure ~duration_ns:20_000_000 ~scenario:"e1000-fleet"
+      ~config:"batch+delta+w4+ring+i16" ()
+  in
+  let alone = cell () in
+  ignore
+    (E.Xpcperf.measure ~duration_ns:20_000_000
+       ~scenario:"8139too-netperf-send" ~config:"batch+delta+w1" ());
+  let after = cell () in
+  let shards l = List.map (fun s -> s.E.Xpcperf.shards_used) l in
+  Alcotest.(check (list int))
+    "shards used alone and after another point" (shards alone) (shards after);
+  check_bool "identical samples alone and after another point" true
+    (alone = after)
+
 let test_json_roundtrip () =
   let sample scenario batching delta workers =
     {
@@ -281,6 +300,8 @@ let () =
             test_netperf_e1000_ring;
           Alcotest.test_case "measure filters select one cell" `Quick
             test_measure_filters;
+          Alcotest.test_case "cell independent of run order" `Quick
+            test_cell_run_order_independent;
           Alcotest.test_case "trajectory json roundtrip" `Quick
             test_json_roundtrip;
           Alcotest.test_case "pre-worker trajectory parses" `Quick
