@@ -95,7 +95,22 @@ lint:
 perfbench-check:
 	python3 perfbench/run.py --self-test
 
+# Flat CPU profile of one benchmark workload, e.g. `make profile
+# W=stream`: perfbench/main.exe runs under the pcprof PC sampler
+# (tools/pcprof/README.md) and the top symbols print by self time. Not
+# part of `check`: samples are not deterministic.
+W ?= stream
+PROFILE_SECONDS ?= 10
+profile:
+	dune build ./perfbench/main.exe
+	mkdir -p .pcprof
+	cc -O2 -shared -fPIC -o .pcprof/pcprof.so tools/pcprof/pcprof.c -lrt
+	PCPROF_OUT=.pcprof/$(W).out LD_PRELOAD=$(CURDIR)/.pcprof/pcprof.so \
+	  ./_build/default/perfbench/main.exe --workload $(W) --seed 1 \
+	  --seconds $(PROFILE_SECONDS) --trace 0 > /dev/null
+	python3 tools/pcprof/pcprof.py .pcprof/$(W).out
+
 clean:
 	dune clean
 
-.PHONY: all build test check bench-check bench-regen-check bench-json bench soak-smoke soak soak-json lint explore perfbench-check clean
+.PHONY: all build test check bench-check bench-regen-check bench-json bench soak-smoke soak soak-json lint explore perfbench-check profile clean

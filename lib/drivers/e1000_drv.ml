@@ -229,7 +229,7 @@ let clean_tx a =
      | Some nd ->
          if K.Netcore.netif_queue_stopped nd then K.Netcore.netif_wake_queue nd
      | None -> ());
-  let retired = max 0 (before - a.tx_in_flight) in
+  let retired = Int.max 0 (before - a.tx_in_flight) in
   note_packets a retired;
   retired
 
@@ -243,7 +243,7 @@ let start_xmit a (skb : K.Netcore.Skb.t) =
         ignore (clean_tx a);
       if a.tx_in_flight >= E.n_tx_desc - 1 then K.Netcore.Xmit_busy
       else begin
-        E.stage_tx a.model (Bytes.sub skb.K.Netcore.Skb.data 0 skb.K.Netcore.Skb.len);
+        E.stage_tx a.model skb.K.Netcore.Skb.data;
         a.tx_tail <- (a.tx_tail + 1) mod E.n_tx_desc;
         a.tx_in_flight <- a.tx_in_flight + 1;
         K.Io.writel (reg a E.reg_tdt) a.tx_tail;
@@ -266,7 +266,7 @@ let handle_rx a =
         K.Clock.consume 800
         (* decaf-lint: consume-ok, inside the net.rx span (born at DMA) *);
         (match a.netdev with
-        | Some nd -> K.Netcore.netif_rx nd (K.Netcore.Skb.of_bytes frame)
+        | Some nd -> K.Netcore.netif_rx nd (K.Netcore.Skb.of_string frame)
         | None -> ());
         (* packet delivered: close the wire-arrival timeline *)
         ignore (K.Clock.complete tr);

@@ -39,10 +39,10 @@ type t = {
   phy : Phy.t;
   eeprom : Eeprom.t;
   mutable region : Io.region option;
-  tx_staged : (bytes * K.Clock.track) Queue.t;
+  tx_staged : (string * K.Clock.track) Queue.t;
       (* each staged frame carries its xmit-stage birth stamp; completed
          when the frame finishes serializing onto the wire *)
-  rx_fifo : (bytes * K.Clock.track) Queue.t;
+  rx_fifo : (string * K.Clock.track) Queue.t;
       (* each received frame carries its wire-arrival birth stamp; the
          driver completes it when the packet reaches netif_rx *)
   mutable ctrl : int;

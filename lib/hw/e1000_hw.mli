@@ -56,11 +56,11 @@ val create :
 
 val destroy : t -> unit
 
-val stage_tx : t -> bytes -> unit
+val stage_tx : t -> string -> unit
 (** DMA: append a frame to the transmit ring's staged buffers; it is sent
     when the driver advances TDT past it (with TCTL.EN set). *)
 
-val take_rx : t -> (bytes * Decaf_kernel.Clock.track) option
+val take_rx : t -> (string * Decaf_kernel.Clock.track) option
 (** Pop the oldest received frame together with its wire-arrival birth
     stamp; the driver completes the stamp when the packet reaches
     [netif_rx], closing the "net.rx" end-to-end timeline. *)

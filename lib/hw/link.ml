@@ -2,8 +2,8 @@ module K = Decaf_kernel
 
 type t = {
   rate_bps : int;
-  mutable nic_rx : bytes -> unit;
-  mutable peer : t -> bytes -> unit;
+  mutable nic_rx : string -> unit;
+  mutable peer : t -> string -> unit;
   (* Separate wire occupancy per direction (full duplex). *)
   mutable tx_free_at : int;
   mutable rx_free_at : int;
@@ -34,11 +34,11 @@ let wire_time t len_bytes =
   (len_bytes + 20) * 8 * 1_000_000_000 / t.rate_bps
 
 let transmit t ?(on_done = fun () -> ()) frame =
-  let start = max (K.Clock.now ()) t.tx_free_at in
-  let finish = start + wire_time t (Bytes.length frame) in
+  let start = Int.max (K.Clock.now ()) t.tx_free_at in
+  let finish = start + wire_time t (String.length frame) in
   t.tx_free_at <- finish;
   t.tx_frames <- t.tx_frames + 1;
-  t.tx_bytes <- t.tx_bytes + Bytes.length frame;
+  t.tx_bytes <- t.tx_bytes + String.length frame;
   (* A flap drops the frame in flight: the NIC sees a completed send but
      the peer never receives it. *)
   let dropped = K.Faultinject.fires ~site:"hw.link" K.Faultinject.Link_flap in
@@ -48,11 +48,11 @@ let transmit t ?(on_done = fun () -> ()) frame =
          if not dropped then t.peer t frame))
 
 let inject t frame =
-  let start = max (K.Clock.now ()) t.rx_free_at in
-  let finish = start + wire_time t (Bytes.length frame) in
+  let start = Int.max (K.Clock.now ()) t.rx_free_at in
+  let finish = start + wire_time t (String.length frame) in
   t.rx_free_at <- finish;
   t.rx_frames <- t.rx_frames + 1;
-  t.rx_bytes <- t.rx_bytes + Bytes.length frame;
+  t.rx_bytes <- t.rx_bytes + String.length frame;
   ignore (K.Clock.at finish (fun () -> t.nic_rx frame))
 
 let tx_frames t = t.tx_frames

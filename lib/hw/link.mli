@@ -8,19 +8,19 @@ type t
 
 val create : rate_bps:int -> unit -> t
 
-val connect : t -> nic_rx:(bytes -> unit) -> unit
+val connect : t -> nic_rx:(string -> unit) -> unit
 (** Attach the NIC model's receive entry point. *)
 
-val set_peer : t -> (t -> bytes -> unit) -> unit
+val set_peer : t -> (t -> string -> unit) -> unit
 (** Install the remote peer's frame handler (default: sink). *)
 
-val transmit : t -> ?on_done:(unit -> unit) -> bytes -> unit
+val transmit : t -> ?on_done:(unit -> unit) -> string -> unit
 (** NIC puts a frame on the wire; the peer handler runs after the
     serialization delay. [on_done] fires when the frame has left the
     adapter (serialization complete) — the moment a real NIC writes back
     the descriptor and raises its transmit interrupt. *)
 
-val inject : t -> bytes -> unit
+val inject : t -> string -> unit
 (** Peer sends a frame toward the NIC, also rate-limited. *)
 
 val tx_frames : t -> int

@@ -32,10 +32,10 @@ type t = {
   mutable region : Io.region option;
   tsd : int array;
   tsad : int array;
-  tx_staged : (bytes * K.Clock.track) option array;
+  tx_staged : (string * K.Clock.track) option array;
       (* staged frames carry their xmit-stage birth stamp, completed
          when the frame finishes serializing onto the wire *)
-  rx_fifo : (bytes * K.Clock.track) Queue.t;
+  rx_fifo : (string * K.Clock.track) Queue.t;
       (* received frames carry their wire-arrival birth stamp; the
          driver completes it when the packet reaches netif_rx *)
   mutable command : int;
@@ -66,8 +66,11 @@ let do_reset t =
 
 let transmit t n size =
   match t.tx_staged.(n) with
-  | Some (frame, tr) when Bytes.length frame >= size ->
-      let frame = Bytes.sub frame 0 size in
+  | Some (frame, tr) when String.length frame >= size ->
+      (* TSD's size field says how much of the buffer goes on the wire *)
+      let frame =
+        if String.length frame = size then frame else String.sub frame 0 size
+      in
       t.tx_staged.(n) <- None;
       t.tx_count <- t.tx_count + 1;
       (* the descriptor completes when the frame leaves the wire *)

@@ -60,12 +60,12 @@ val create : io_base:int -> irq:int -> mac:string -> link:Link.t -> t
 
 val destroy : t -> unit
 
-val stage_tx_buffer : t -> int -> bytes -> unit
+val stage_tx_buffer : t -> int -> string -> unit
 (** DMA: place frame data in the buffer of transmit descriptor [n]
     (modelling the write to the address in TSAD[n]). The frame goes on
     the wire when TSD[n] is written with the size and OWN cleared. *)
 
-val take_rx : t -> (bytes * Decaf_kernel.Clock.track) option
+val take_rx : t -> (string * Decaf_kernel.Clock.track) option
 (** DMA: pull the next received frame from the receive ring, together
     with its wire-arrival birth stamp; the driver completes the stamp
     when the packet reaches [netif_rx], closing the "net.rx" end-to-end

@@ -124,7 +124,7 @@ let rec deliver_until t =
   if e.live && e.due <= t then begin
     take e;
     e.f ();
-    deliver_until (max t !time)
+    deliver_until (Int.max t !time)
   end
 
 (* Busy work is preemptible: an event (interrupt) due mid-interval runs
@@ -138,7 +138,7 @@ let consume ns =
   while !remaining > 0 do
     let e = top () in
     if e.live && e.due <= !time + !remaining then begin
-      remaining := !remaining - max 0 (e.due - !time);
+      remaining := !remaining - Int.max 0 (e.due - !time);
       take e;
       e.f ()
     end
@@ -152,7 +152,7 @@ let scheduled () = !seq - !boot_seq
 
 let at t f =
   incr seq;
-  let e = { due = max t !time; seq = !seq; f; live = true } in
+  let e = { due = Int.max t !time; seq = !seq; f; live = true } in
   push e;
   incr live;
   e
@@ -196,7 +196,7 @@ type track = { t_path : string; t_born : int }
 let track path = { t_path = path; t_born = !time }
 
 let complete tr =
-  let dt = max 0 (!time - tr.t_born) in
+  let dt = Int.max 0 (!time - tr.t_born) in
   Latency.observe_path tr.t_path dt;
   dt
 
@@ -226,7 +226,7 @@ let track_end ?key path =
       match Queue.take_opt q with
       | None -> None
       | Some born ->
-          let dt = max 0 (!time - born) in
+          let dt = Int.max 0 (!time - born) in
           Latency.observe_path path dt;
           Some dt)
 

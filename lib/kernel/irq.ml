@@ -102,7 +102,7 @@ let rec try_deliver n =
           (match l.born with
           | Some b ->
               l.born <- None;
-              Latency.observe_path "irq" (max 0 (Clock.now () - b))
+              Latency.observe_path "irq" (Int.max 0 (Clock.now () - b))
           | None -> ());
           (match handler () with
           | () -> Sched.exit_interrupt ()
@@ -139,9 +139,9 @@ and drain_backlog () =
 let raise_irq n =
   let l = check n in
   Ktrace.note (Ktrace.Irq_line n) Ktrace.Signal;
-  if l.handler = None then incr spurious_count
+  if Option.is_none l.handler then incr spurious_count
   else begin
-    if l.born = None then l.born <- Some (Clock.now ());
+    if Option.is_none l.born then l.born <- Some (Clock.now ());
     l.pending <- true;
     try_deliver n
   end

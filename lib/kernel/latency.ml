@@ -66,7 +66,7 @@ let floor_log2 v =
 (* Octave 0 is the exact linear region [0, 64); octave j >= 1 covers
    [64 * 2^(j-1), 64 * 2^j) with 64 sub-buckets of width 2^(j-1). *)
 let bucket_index v =
-  if v < sub then max v 0
+  if v < sub then Int.max v 0
   else
     let j = floor_log2 v - log2_sub + 1 in
     (j * sub) + ((v lsr (j - 1)) - sub)
@@ -80,7 +80,7 @@ let bucket_bounds idx =
     (low, low + (1 lsl (j - 1)) - 1)
 
 let observe t v =
-  let v = max 0 v in
+  let v = Int.max 0 v in
   t.total <- t.total + 1;
   t.sum_ns <- t.sum_ns + v;
   if v < t.min_v then t.min_v <- v;

@@ -2,13 +2,16 @@
     protocol stack (here: the netperf workload) attaches to. *)
 
 module Skb : sig
-  type t = { data : Bytes.t; mutable len : int; mutable protocol : int }
+  type t = { data : string; len : int }
+  (** A frame. The payload is immutable, so every layer from the
+      workload to the wire shares it by reference: no layer copies it,
+      and one payload can back every frame of a run. *)
+
+  val of_string : string -> t
+  (** Wrap a payload without copying it. *)
 
   val alloc : int -> t
-  (** Allocate a buffer of the given length, zero-filled. *)
-
-  val of_bytes : Bytes.t -> t
-  val copy : t -> t
+  (** A fresh zero-filled frame of the given length. *)
 end
 
 type stats = {

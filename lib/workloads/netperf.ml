@@ -44,9 +44,11 @@ let send ~netdev ~link ~duration_ns ~msg_bytes =
   let saved0 = Xpc.Dispatch.overlap_saved_ns () in
   let tx_bytes0 = Hw.Link.tx_bytes link and tx_frames0 = Hw.Link.tx_frames link in
   let deadline = t0 + duration_ns in
+  (* one immutable payload backs every frame of the run *)
+  let payload = String.make msg_bytes '\000' in
   while K.Clock.now () < deadline do
     K.Clock.consume (app_cost msg_bytes);
-    match K.Netcore.dev_queue_xmit netdev (K.Netcore.Skb.alloc msg_bytes) with
+    match K.Netcore.dev_queue_xmit netdev (K.Netcore.Skb.of_string payload) with
     | K.Netcore.Xmit_ok -> ()
     | K.Netcore.Xmit_busy ->
         (* ring full: back off briefly, as the socket layer would block *)
@@ -67,10 +69,11 @@ let recv ~netdev ~link ~duration_ns ~msg_bytes =
       received_bytes := !received_bytes + skb.K.Netcore.Skb.len;
       incr received_packets);
   let deadline = t0 + duration_ns in
-  (* the peer saturates the wire *)
+  (* the peer saturates the wire, every frame carrying the same payload *)
+  let payload = String.make msg_bytes 'r' in
   let rec inject () =
     if K.Clock.now () < deadline then begin
-      Hw.Link.inject link (Bytes.make msg_bytes 'r');
+      Hw.Link.inject link payload;
       (* pace at the wire rate: the link model serializes, so we only
          need to keep its queue primed *)
       ignore

@@ -43,6 +43,8 @@ let run ~ports ~duration_ns ~msg_bytes =
   let busy_backoff_ns = 100_000 in
   let cpu_free_at = ref 0 in
   let cost = app_cost msg_bytes in
+  (* one immutable payload backs every frame on every port *)
+  let payload = String.make msg_bytes '\000' in
   let rec send p () =
     if K.Clock.now () < deadline then
       if K.Netcore.is_up p.netdev then
@@ -51,7 +53,7 @@ let run ~ports ~duration_ns ~msg_bytes =
             ((msg_bytes + 20) * 8 * 1_000_000_000 / Hw.Link.rate_bps p.link)
         in
         match
-          K.Netcore.dev_queue_xmit p.netdev (K.Netcore.Skb.alloc msg_bytes)
+          K.Netcore.dev_queue_xmit p.netdev (K.Netcore.Skb.of_string payload)
         with
         | K.Netcore.Xmit_ok -> ignore (K.Clock.after gap (pump p))
         | K.Netcore.Xmit_busy -> ignore (K.Clock.after busy_backoff_ns (pump p))

@@ -13,9 +13,9 @@ let test_link_rate_limits () =
   K.Boot.boot ();
   let link = Link.create ~rate_bps:100_000_000 () in
   let received = ref 0 in
-  Link.set_peer link (fun _ frame -> received := !received + Bytes.length frame);
+  Link.set_peer link (fun _ frame -> received := !received + String.length frame);
   for _ = 1 to 10 do
-    Link.transmit link (Bytes.make 1500 'x')
+    Link.transmit link (String.make 1500 'x')
   done;
   ignore (K.Sched.spawn (fun () -> ()));
   K.Sched.run ();
@@ -27,9 +27,9 @@ let test_link_echo_peer () =
   K.Boot.boot ();
   let link = Link.create ~rate_bps:1_000_000_000 () in
   let nic_got = ref 0 in
-  Link.connect link ~nic_rx:(fun frame -> nic_got := !nic_got + Bytes.length frame);
+  Link.connect link ~nic_rx:(fun frame -> nic_got := !nic_got + String.length frame);
   Link.set_peer link (fun l frame -> Link.inject l frame);
-  Link.transmit link (Bytes.make 1000 'y');
+  Link.transmit link (String.make 1000 'y');
   K.Sched.run ();
   check "echo returned" 1000 !nic_got
 
@@ -88,7 +88,7 @@ let test_rtl8139_tx_irq () =
       K.Io.outw (rtl_base + Rtl8139.isr) st);
   K.Io.outb (rtl_base + Rtl8139.cmd) (Rtl8139.cmd_te lor Rtl8139.cmd_re);
   K.Io.outw (rtl_base + Rtl8139.imr) 0xffff;
-  Rtl8139.stage_tx_buffer dev 0 (Bytes.make 100 'p');
+  Rtl8139.stage_tx_buffer dev 0 (String.make 100 'p');
   K.Io.outl (rtl_base + Rtl8139.tsd0) 100;
   (* size, OWN clear *)
   K.Sched.run ();
@@ -97,6 +97,22 @@ let test_rtl8139_tx_irq () =
   check "TOK interrupt" 1 !irqs;
   check_bool "descriptor returned to driver" true
     (K.Io.inl (rtl_base + Rtl8139.tsd0) land Rtl8139.tsd_own <> 0);
+  Rtl8139.destroy dev
+
+(* TSD's size field, not the staged buffer, decides what goes on the
+   wire: a shorter size trims the frame. *)
+let test_rtl8139_tx_trims_to_tsd_size () =
+  K.Boot.boot ();
+  let dev, link = make_rtl () in
+  K.Io.outb (rtl_base + Rtl8139.cmd) Rtl8139.cmd_te;
+  let seen = ref 0 in
+  Link.set_peer link (fun _ frame -> seen := String.length frame);
+  Rtl8139.stage_tx_buffer dev 0 (String.make 100 'p');
+  K.Io.outl (rtl_base + Rtl8139.tsd0) 60;
+  K.Sched.run ();
+  check "tx count" 1 (Rtl8139.tx_count dev);
+  check "trimmed frame on the wire" 60 (Link.tx_bytes link);
+  check "peer got the trimmed frame" 60 !seen;
   Rtl8139.destroy dev
 
 let test_rtl8139_rx_path () =
@@ -108,11 +124,11 @@ let test_rtl8139_rx_path () =
       K.Io.outw (rtl_base + Rtl8139.isr) 0xffff);
   K.Io.outb (rtl_base + Rtl8139.cmd) Rtl8139.cmd_re;
   K.Io.outw (rtl_base + Rtl8139.imr) 0xffff;
-  Link.inject link (Bytes.make 64 'r');
+  Link.inject link (String.make 64 'r');
   K.Sched.run ();
   check "one rx irq" 1 !irqs;
   (match Rtl8139.take_rx dev with
-  | Some (f, _) -> check "frame length" 64 (Bytes.length f)
+  | Some (f, _) -> check "frame length" 64 (String.length f)
   | None -> Alcotest.fail "no frame");
   check_bool "fifo empty again" true (Rtl8139.take_rx dev = None);
   Rtl8139.destroy dev
@@ -120,7 +136,7 @@ let test_rtl8139_rx_path () =
 let test_rtl8139_rx_disabled_drops () =
   K.Boot.boot ();
   let dev, link = make_rtl () in
-  Link.inject link (Bytes.make 64 'r');
+  Link.inject link (String.make 64 'r');
   K.Sched.run ();
   check "dropped when RE clear" 0 (Rtl8139.rx_pending dev);
   Rtl8139.destroy dev
@@ -168,8 +184,8 @@ let test_e1000_tx_ring () =
       ignore (rd E1000_hw.reg_icr));
   wr E1000_hw.reg_ims 0xffff;
   wr E1000_hw.reg_tctl E1000_hw.tctl_en;
-  E1000_hw.stage_tx dev (Bytes.make 1500 'a');
-  E1000_hw.stage_tx dev (Bytes.make 1500 'b');
+  E1000_hw.stage_tx dev (String.make 1500 'a');
+  E1000_hw.stage_tx dev (String.make 1500 'b');
   wr E1000_hw.reg_tdt 2;
   K.Sched.run ();
   check "two frames transmitted" 2 (E1000_hw.tx_count dev);
@@ -191,11 +207,11 @@ let test_e1000_rx () =
   K.Boot.boot ();
   let dev, link = make_e1000 () in
   wr E1000_hw.reg_rctl E1000_hw.rctl_en;
-  Link.inject link (Bytes.make 500 'z');
+  Link.inject link (String.make 500 'z');
   K.Sched.run ();
   check "pending" 1 (E1000_hw.rx_pending dev);
   (match E1000_hw.take_rx dev with
-  | Some (f, _) -> check "len" 500 (Bytes.length f)
+  | Some (f, _) -> check "len" 500 (String.length f)
   | None -> Alcotest.fail "no frame");
   E1000_hw.destroy dev
 
@@ -356,6 +372,7 @@ let () =
         [
           tc "mac and reset" test_rtl8139_mac_and_reset;
           tc "tx raises TOK" test_rtl8139_tx_irq;
+          tc "tx trims to TSD size" test_rtl8139_tx_trims_to_tsd_size;
           tc "rx path" test_rtl8139_rx_path;
           tc "rx disabled drops" test_rtl8139_rx_disabled_drops;
         ] );
