@@ -100,14 +100,13 @@ perfbench-check:
 # (tools/pcprof/README.md) and the top symbols print by self time. Not
 # part of `check`: samples are not deterministic.
 W ?= stream
-PROFILE_SECONDS ?= 10
 profile:
 	dune build ./perfbench/main.exe
 	mkdir -p .pcprof
 	cc -O2 -shared -fPIC -o .pcprof/pcprof.so tools/pcprof/pcprof.c -lrt
 	PCPROF_OUT=.pcprof/$(W).out LD_PRELOAD=$(CURDIR)/.pcprof/pcprof.so \
 	  ./_build/default/perfbench/main.exe --workload $(W) --seed 1 \
-	  --seconds $(PROFILE_SECONDS) --trace 0 > /dev/null
+	  --seconds 10 --trace 0 > /dev/null
 	python3 tools/pcprof/pcprof.py .pcprof/$(W).out
 
 clean:

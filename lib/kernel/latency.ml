@@ -135,15 +135,26 @@ let merged ts =
 
    One histogram per named event path ("irq", "xpc.dispatch", "net.rx",
    ...), created on first use. The clock's boot reset clears the
-   registry, so every boot starts with empty timelines. *)
+   registry, so every boot starts with empty timelines. The dropped
+   histograms go to [spare] and back the next boot's paths: each is a
+   2,880-word array allocated straight in the major heap, and making
+   them afresh at every boot put major-GC work into every set-up. *)
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 16
+let spare = ref []
 
 let get path =
   match Hashtbl.find_opt registry path with
   | Some t -> t
   | None ->
-      let t = create () in
+      let t =
+        match !spare with
+        | t :: rest ->
+            spare := rest;
+            clear t;
+            t
+        | [] -> create ()
+      in
       Hashtbl.replace registry path t;
       t
 
@@ -154,4 +165,6 @@ let paths () =
   Hashtbl.fold (fun k _ acc -> k :: acc) registry [] |> List.sort compare
 
 let clear_paths () = Hashtbl.iter (fun _ t -> clear t) registry
-let reset () = Hashtbl.reset registry
+let reset () =
+  Hashtbl.iter (fun _ t -> spare := t :: !spare) registry;
+  Hashtbl.reset registry

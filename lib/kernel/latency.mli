@@ -65,4 +65,7 @@ val clear_paths : unit -> unit
 (** Zero every registered histogram, keeping the paths (phase windows). *)
 
 val reset : unit -> unit
-(** Drop every registered path. *)
+(** Drop every registered path. Their histograms are kept aside and
+    cleared to back the paths registered after the reset, so a
+    histogram taken from [get] or [find] is valid only until the next
+    reset. *)

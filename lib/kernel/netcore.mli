@@ -2,10 +2,11 @@
     protocol stack (here: the netperf workload) attaches to. *)
 
 module Skb : sig
-  type t = { data : string; len : int }
+  type t = private { data : string; len : int }
   (** A frame. The payload is immutable, so every layer from the
       workload to the wire shares it by reference: no layer copies it,
-      and one payload can back every frame of a run. *)
+      and one payload can back every frame of a run. Only [of_string]
+      and [alloc] build one, so [len] is always [String.length data]. *)
 
   val of_string : string -> t
   (** Wrap a payload without copying it. *)

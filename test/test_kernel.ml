@@ -401,6 +401,35 @@ let test_latency_overflow () =
   check "median unaffected" 5 (Latency.percentile h 0.5);
   check "tail reports the true max" max_int (Latency.percentile h 0.999)
 
+(* A boot drops every path; the next boot's paths start empty and
+   reuse the dropped histograms instead of allocating new ones. *)
+let test_latency_boot_reuses () =
+  Boot.boot ();
+  List.iter (Latency.observe_path "t.a") [ 3; 5_000 ];
+  List.iter (Latency.observe_path "t.b") [ 5_000; max_int ];
+  Boot.boot ();
+  Alcotest.(check (list string)) "boot drops the paths" [] (Latency.paths ());
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = allocated () in
+  Latency.observe_path "t.c" 70_000;
+  Latency.observe_path "t.d" 70_000;
+  let words = allocated () -. w0 in
+  Alcotest.(check (list string)) "new paths listed" [ "t.c"; "t.d" ] (Latency.paths ());
+  List.iter
+    (fun p ->
+      let h = Latency.get p in
+      check "reused histogram starts empty" 1 (Latency.count h);
+      check "no overflow carried over" 0 (Latency.overflow_count h);
+      check "old buckets zeroed" 70_000 (Latency.percentile h 0.5))
+    [ "t.c"; "t.d" ];
+  check_bool
+    (Printf.sprintf "no histogram allocated (%.0f words)" words)
+    true
+    (words < float_of_int Latency.num_buckets)
+
 (* --- Scheduler --- *)
 
 let test_sched_yield_interleaves () =
@@ -1290,6 +1319,7 @@ let () =
           tc "small-sample percentiles" test_latency_percentiles_small;
           tc "merge" test_latency_merge;
           tc "overflow accounting" test_latency_overflow;
+          tc "boot reuses histograms" test_latency_boot_reuses;
         ] );
       ( "sched",
         [

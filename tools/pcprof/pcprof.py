@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Flat profile from a pcprof.out file written by pcprof.so.
 
-    python3 tools/pcprof/pcprof.py [pcprof.out] [--top N]
+    python3 tools/pcprof/pcprof.py [pcprof.out]
 
 Each sampled PC is mapped to its file through the /proc/self/maps copy
 in the file, turned into an ELF virtual address through the file's
 PT_LOAD headers, and charged to the nearest preceding symbol that
-`nm` lists (`nm -D` for stripped libraries).
+`nm` lists (`nm -D` for stripped libraries). Prints the 40 symbols
+with the most samples.
 """
-import argparse
 import bisect
 import collections
 import struct
 import subprocess
+import sys
+
+TOP = 40
 
 
 def read(path):
@@ -64,11 +67,7 @@ def symbols(path):
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("file", nargs="?", default="pcprof.out")
-    ap.add_argument("--top", type=int, default=40)
-    args = ap.parse_args()
-    maps, pcs = read(args.file)
+    maps, pcs = read(sys.argv[1] if len(sys.argv) > 1 else "pcprof.out")
     starts = [m[0] for m in maps]
     by_file = collections.defaultdict(list)
     unmapped = 0
@@ -91,7 +90,7 @@ def main():
     total = len(pcs)
     print("pcprof: %d samples, %d outside any file mapping" % (total, unmapped))
     print("%7s %8s  %s" % ("self%", "samples", "symbol [file]"))
-    for (sym, short), c in counts.most_common(args.top):
+    for (sym, short), c in counts.most_common(TOP):
         print("%6.2f%% %8d  %s [%s]" % (100.0 * c / max(total, 1), c, sym, short))
 
 
